@@ -34,7 +34,8 @@ use vsync_model::{CheckerKind, ModelKind};
 
 struct Row {
     name: String,
-    graphs: u64,
+    /// Popped chain steps (`ExploreStats::popped`), not constructed graphs.
+    steps: u64,
     events: u64,
     executions: u64,
     constructed: u64,
@@ -75,6 +76,7 @@ fn main() {
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
         })
         .max(1);
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let matrix = vsync_locks::registry::perf_matrix();
     eprintln!(
@@ -127,7 +129,7 @@ fn main() {
         );
         rows.push(Row {
             name: label.to_owned(),
-            graphs: sf.popped,
+            steps: sf.popped,
             events: sf.events,
             executions: sf.complete_executions,
             constructed: sf.constructed,
@@ -144,7 +146,7 @@ fn main() {
     let (tb, t1, tn) = (total(|r| r.baseline), total(|r| r.fast1), total(|r| r.fast_n));
     let speedup1 = tb.as_secs_f64() / t1.as_secs_f64().max(1e-9);
     let speedup_n = tb.as_secs_f64() / tn.as_secs_f64().max(1e-9);
-    let total_graphs: u64 = rows.iter().map(|r| r.graphs).sum();
+    let total_steps: u64 = rows.iter().map(|r| r.steps).sum();
     let total_events: u64 = rows.iter().map(|r| r.events).sum();
 
     let total_constructed: u64 = rows.iter().map(|r| r.constructed).sum();
@@ -184,10 +186,10 @@ fn main() {
         reduction(total_constructed, total_enumerated),
     );
     println!(
-        "fast-1: {:.0} graphs/s, {:.0} events/s | fast-{workers}: {:.0} graphs/s | speedup vs baseline: {speedup1:.2}x (1 worker), {speedup_n:.2}x ({workers} workers)",
-        total_graphs as f64 / t1.as_secs_f64(),
+        "fast-1: {:.0} chain steps/s, {:.0} events/s | fast-{workers}: {:.0} chain steps/s | speedup vs baseline: {speedup1:.2}x (1 worker), {speedup_n:.2}x ({workers} workers)",
+        total_steps as f64 / t1.as_secs_f64(),
         total_events as f64 / t1.as_secs_f64(),
-        total_graphs as f64 / tn.as_secs_f64(),
+        total_steps as f64 / tn.as_secs_f64(),
     );
 
     // Hand-rolled JSON (the build environment has no serde).
@@ -196,18 +198,19 @@ fn main() {
     let _ = writeln!(json, "  \"bench\": \"explore_perf\",");
     let _ = writeln!(json, "  \"samples\": {samples},");
     let _ = writeln!(json, "  \"workers\": {workers},");
+    let _ = writeln!(json, "  \"cores\": {cores},");
     let _ = writeln!(json, "  \"rows\": [");
     for (i, r) in rows.iter().enumerate() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
         let _ = writeln!(
             json,
-            "    {{\"name\": \"{}\", \"graphs\": {}, \"events\": {}, \"complete_executions\": {}, \
+            "    {{\"name\": \"{}\", \"chain_steps\": {}, \"events\": {}, \"complete_executions\": {}, \
              \"constructed_graphs\": {}, \"duplicates\": {}, \"revisits\": {}, \
              \"enumerate_graphs\": {}, \"reduction\": {:.3}, \
              \"baseline_ms\": {:.3}, \"fast1_ms\": {:.3}, \"fastN_ms\": {:.3}, \
-             \"graphs_per_sec_fast1\": {:.1}, \"events_per_sec_fast1\": {:.1}, \"speedup_fast1\": {:.3}}}{comma}",
+             \"chain_steps_per_sec_fast1\": {:.1}, \"events_per_sec_fast1\": {:.1}, \"speedup_fast1\": {:.3}}}{comma}",
             r.name,
-            r.graphs,
+            r.steps,
             r.events,
             r.executions,
             r.constructed,
@@ -218,7 +221,7 @@ fn main() {
             r.baseline.as_secs_f64() * 1e3,
             r.fast1.as_secs_f64() * 1e3,
             r.fast_n.as_secs_f64() * 1e3,
-            r.graphs as f64 / r.fast1.as_secs_f64().max(1e-9),
+            r.steps as f64 / r.fast1.as_secs_f64().max(1e-9),
             r.events as f64 / r.fast1.as_secs_f64().max(1e-9),
             r.baseline.as_secs_f64() / r.fast1.as_secs_f64().max(1e-9),
         );
@@ -226,17 +229,17 @@ fn main() {
     let _ = writeln!(json, "  ],");
     let _ = writeln!(
         json,
-        "  \"total\": {{\"graphs\": {total_graphs}, \"events\": {total_events}, \
+        "  \"total\": {{\"chain_steps\": {total_steps}, \"events\": {total_events}, \
          \"constructed_graphs\": {total_constructed}, \
          \"enumerate_graphs\": {total_enumerated}, \"reduction\": {:.3}, \
          \"baseline_ms\": {:.3}, \"fast1_ms\": {:.3}, \"fastN_ms\": {:.3}, \
-         \"graphs_per_sec_fast1\": {:.1}, \"events_per_sec_fast1\": {:.1}, \
+         \"chain_steps_per_sec_fast1\": {:.1}, \"events_per_sec_fast1\": {:.1}, \
          \"speedup_fast1\": {speedup1:.3}, \"speedup_fastN\": {speedup_n:.3}}}",
         reduction(total_constructed, total_enumerated),
         tb.as_secs_f64() * 1e3,
         t1.as_secs_f64() * 1e3,
         tn.as_secs_f64() * 1e3,
-        total_graphs as f64 / t1.as_secs_f64(),
+        total_steps as f64 / t1.as_secs_f64(),
         total_events as f64 / t1.as_secs_f64(),
     );
     let _ = writeln!(json, "}}");

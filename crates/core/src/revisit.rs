@@ -60,14 +60,15 @@ use std::time::Instant;
 use vsync_graph::{
     EventId, EventKind, ExecutionGraph, ExploreEncoder, GraphView, Loc, Mode, RfSource, ThreadId,
 };
-use vsync_lang::{PendingOp, ReadDesc, ReplayOutcome, ThreadStatus};
+use vsync_lang::{BlockedAwait, PendingOp, ReadDesc, ReplayOutcome, ThreadStatus};
+use vsync_model::{CheckerKind, IncrementalVmm, MemoryModel, ModelKind};
 
 use crate::explorer::{
     degraded, failed_final_check, min_source_pos, panic_payload, relock, stats_delta,
     BudgetTracker, Engine, Pacer, SeenSet, SharedStats, WorkQueue, CHECK_PERIOD,
 };
 use crate::failpoint;
-use crate::stagnancy::is_stagnant;
+use crate::stagnancy::is_stagnant_with;
 use crate::telemetry::PhaseTracker;
 use crate::verdict::{
     AmcResult, Counterexample, EngineError, EnginePhase, ExploreStats, Inconclusive, StopReason,
@@ -96,6 +97,78 @@ enum ChainEnd {
     Stopped(StopReason),
 }
 
+/// A worker's consistency checker for its chains. The VMM fast path runs
+/// incrementally ([`IncrementalVmm`]): the chain root is checked in full,
+/// every in-chain push against only the constraints involving the new
+/// event. SC, TSO and the reference checkers check every graph in full
+/// (`push` is a full check, `pop` a no-op).
+struct ChainChecker {
+    model: &'static dyn MemoryModel,
+    incremental: Option<IncrementalVmm>,
+}
+
+impl ChainChecker {
+    /// Check a chain root in full.
+    fn reset(&mut self, g: &ExecutionGraph) -> bool {
+        match &mut self.incremental {
+            Some(inc) => inc.reset(g),
+            None => self.model.is_consistent(g),
+        }
+    }
+
+    /// Check `g`, the chain's graph plus the newest event; keep the event
+    /// until [`ChainChecker::pop`].
+    fn push(&mut self, g: &ExecutionGraph) -> bool {
+        match &mut self.incremental {
+            Some(inc) => inc.push(g),
+            None => self.model.is_consistent(g),
+        }
+    }
+
+    fn pop(&mut self) {
+        if let Some(inc) = &mut self.incremental {
+            inc.pop();
+        }
+    }
+
+    /// Keep the continuation candidate, which an earlier `push` accepted
+    /// and popped again (not a new check).
+    fn reapply(&mut self, g: &ExecutionGraph) {
+        if let Some(inc) = &mut self.incremental {
+            inc.reapply(g);
+        }
+    }
+
+    /// Does the checker's state still describe `g`?
+    fn matches(&self, g: &ExecutionGraph) -> bool {
+        self.incremental.as_ref().is_none_or(|inc| inc.matches(g))
+    }
+
+    /// Stagnancy of the leaf `g`. Each blocked read is resolved on the
+    /// chain state — unless the leaf was relabeled to its orbit
+    /// representative, which the state does not describe.
+    fn is_stagnant(
+        &mut self,
+        g: &mut ExecutionGraph,
+        blocked: &[&BlockedAwait],
+        relabeled: bool,
+    ) -> bool {
+        match &mut self.incremental {
+            Some(inc) if !relabeled => is_stagnant_with(g, blocked, &mut |g2, read| {
+                inc.suspend(read);
+                let ok = inc.push(g2);
+                inc.pop();
+                inc.resume();
+                ok
+            }),
+            _ => {
+                let model = self.model;
+                is_stagnant_with(g, blocked, &mut |g2, _| model.is_consistent(g2))
+            }
+        }
+    }
+}
+
 /// Scratch state for one chain; admitted children end up in `out`.
 struct ChainCtx<'s> {
     stats: &'s mut ExploreStats,
@@ -109,6 +182,8 @@ struct ChainCtx<'s> {
     phase: &'s PhaseTracker,
     /// Per-worker symmetry-aware view hasher.
     enc: &'s mut ExploreEncoder,
+    /// Per-worker consistency checker, in step with the chain's graph.
+    checker: &'s mut ChainChecker,
     dedup: bool,
 }
 
@@ -155,6 +230,9 @@ impl<'p> Engine<'p> {
                 ctx.stats.wasteful += 1;
                 return ChainEnd::Done;
             }
+            // Candidates carry their exact derived flags, so replaying an
+            // in-place continuation must not rewrite a checked event.
+            debug_assert!(root || ctx.checker.matches(&g), "replay rewrote a pushed event");
             if root {
                 root = false;
                 // Chain roots are materialized without a consistency
@@ -165,7 +243,7 @@ impl<'p> Engine<'p> {
                 // speculative scan that chose them.
                 ctx.phase.set(EnginePhase::Consistency);
                 ctx.failpoint("explore.consistency");
-                if !self.model.is_consistent(&g) {
+                if !ctx.checker.reset(&g) {
                     ctx.stats.inconsistent += 1;
                     return ChainEnd::Done;
                 }
@@ -220,6 +298,7 @@ impl<'p> Engine<'p> {
         ctx: &mut ChainCtx<'_>,
         leaves: &mut Probe<'_>,
     ) -> ChainEnd {
+        let mut relabeled = false;
         if ctx.dedup {
             // Leaf counting is a view probe, like admission — `Probe`, not
             // `Dedup`, so revisit-engine hash work is attributed to the
@@ -246,6 +325,7 @@ impl<'p> Engine<'p> {
                 let perm =
                     ctx.enc.chosen_perm().expect("permuted hash implies a chosen relabeling");
                 g = g.permute_threads(perm);
+                relabeled = true;
                 rep = vsync_lang::replay_with_budget(self.prog, &mut g, self.config.step_budget);
                 if let Some(f) = rep.fault() {
                     return ChainEnd::Verdict(Verdict::Fault(f.to_owned()));
@@ -270,7 +350,7 @@ impl<'p> Engine<'p> {
             ctx.phase.set(EnginePhase::Stagnancy);
             ctx.failpoint("explore.stagnancy");
             ctx.stats.blocked_graphs += 1;
-            if is_stagnant(&g, &blocked, self.model) {
+            if ctx.checker.is_stagnant(&mut g, &blocked, relabeled) {
                 let polls: Vec<String> =
                     blocked.iter().map(|b| format!("{}@{:#x}", b.read, b.loc)).collect();
                 let message = format!(
@@ -302,7 +382,7 @@ impl<'p> Engine<'p> {
         g.push_event(t, kind);
         ctx.phase.set(EnginePhase::Consistency);
         ctx.failpoint("explore.consistency");
-        if !self.model.is_consistent(g) {
+        if !ctx.checker.push(g) {
             ctx.stats.inconsistent += 1;
             return false;
         }
@@ -360,13 +440,19 @@ impl<'p> Engine<'p> {
                 awaiting: true,
             });
         }
-        // Viability scan: speculative push → model check → undo.
+        // Viability scan: speculative push → model check → undo. The
+        // checker keeps the last candidate when it is viable: it is then
+        // the continuation.
         let mut viable: Vec<usize> = Vec::with_capacity(cands.len());
+        let last = cands.len().saturating_sub(1);
         ctx.phase.set(EnginePhase::Consistency);
         for (i, kind) in cands.iter().enumerate() {
             g.push_event(t, kind.clone());
             ctx.failpoint("explore.consistency");
-            let ok = self.model.is_consistent(g);
+            let ok = ctx.checker.push(g);
+            if !(ok && i == last) {
+                ctx.checker.pop();
+            }
             g.pop_event(t);
             if ok {
                 viable.push(i);
@@ -384,6 +470,9 @@ impl<'p> Engine<'p> {
             g.pop_event(t);
         }
         g.push_event(t, cands[cont].clone());
+        if cont != last {
+            ctx.checker.reapply(g);
+        }
         true
     }
 
@@ -421,15 +510,21 @@ impl<'p> Engine<'p> {
         // Pass 1 — per placement: generate its revisit children (even
         // when the placed graph itself is inconsistent: the revisit
         // restriction can remove the inconsistency), check the
-        // placement's own viability, undo.
+        // placement's own viability, undo — except that, as in the
+        // R-step, the checker keeps the last placement when it is viable.
         let mut viable: Vec<usize> = Vec::with_capacity(positions.len());
+        let last = *positions.last().expect("a write has a placement");
         for &pos in &positions {
             let wid = g.push_event(t, EventKind::Write { loc, val, mode, rmw });
             g.insert_mo(loc, wid, pos);
             self.chain_revisits(g, wid, loc, ctx, visited);
             ctx.phase.set(EnginePhase::Consistency);
             ctx.failpoint("explore.consistency");
-            if self.model.is_consistent(g) {
+            let ok = ctx.checker.push(g);
+            if !(ok && pos == last) {
+                ctx.checker.pop();
+            }
+            if ok {
                 viable.push(pos);
             } else {
                 ctx.stats.inconsistent += 1;
@@ -453,6 +548,9 @@ impl<'p> Engine<'p> {
         }
         let wid = g.push_event(t, EventKind::Write { loc, val, mode, rmw });
         g.insert_mo(loc, wid, cont);
+        if cont != last {
+            ctx.checker.reapply(g);
+        }
         true
     }
 
@@ -571,6 +669,13 @@ impl<'p> Engine<'p> {
         ctx.phase.set(caller_phase);
     }
 
+    fn chain_checker(&self) -> ChainChecker {
+        let incremental = (self.config.model == ModelKind::Vmm
+            && self.config.checker == CheckerKind::Fast)
+            .then(IncrementalVmm::new);
+        ChainChecker { model: self.model, incremental }
+    }
+
     /// The sequential revisit driver: a LIFO stack of chain roots. Each
     /// chain runs under `catch_unwind`, so a panic anywhere in the engine
     /// degrades to [`Verdict::Error`] instead of unwinding out of the
@@ -598,6 +703,7 @@ impl<'p> Engine<'p> {
         let mut children: Vec<ExecutionGraph> = Vec::new();
         let mut pacer = Pacer::new(self.control, 1, None, 0);
         let mut enc = ExploreEncoder::new(self.partition.as_ref());
+        let mut checker = self.chain_checker();
         let max_graphs = self.config.max_graphs;
         while let Some(g) = stack.pop() {
             budget.release(&g);
@@ -610,6 +716,7 @@ impl<'p> Engine<'p> {
                     budget: &budget,
                     phase,
                     enc: &mut enc,
+                    checker: &mut checker,
                     dedup: self.config.dedup,
                 };
                 let mut visited_probe = |h: u128| {
@@ -722,6 +829,7 @@ impl<'p> Engine<'p> {
             let mut children: Vec<ExecutionGraph> = Vec::new();
             let mut pacer = Pacer::new(self.control, workers, Some(&gate), index);
             let mut enc = ExploreEncoder::new(self.partition.as_ref());
+            let mut checker = self.chain_checker();
             let mut flushed = ExploreStats::default();
             let mut since_flush = 0u64;
             let phase = PhaseTracker::new(self.control.profile);
@@ -751,6 +859,7 @@ impl<'p> Engine<'p> {
                         budget: &budget,
                         phase: &phase,
                         enc: &mut enc,
+                        checker: &mut checker,
                         dedup: self.config.dedup,
                     };
                     let mut visited_probe = |h: u128| {

@@ -24,17 +24,41 @@ pub fn is_stagnant(
     blocked: &[&BlockedAwait],
     model: &dyn MemoryModel,
 ) -> bool {
-    !blocked.is_empty() && blocked.iter().all(|b| is_stuck(g, b, model))
+    is_stagnant_with(&mut g.clone(), blocked, &mut |g2, _| model.is_consistent(g2))
 }
 
 /// Can no available write unblock this read with a non-wasteful,
 /// model-consistent iteration?
 pub fn is_stuck(g: &ExecutionGraph, b: &BlockedAwait, model: &dyn MemoryModel) -> bool {
+    is_stuck_with(&mut g.clone(), b, &mut |g2, _| model.is_consistent(g2))
+}
+
+/// Decides whether a resolution is consistent: called with the graph in
+/// which the blocked read (the second argument) reads its candidate
+/// write, followed by the RMW write part when the await would exit and
+/// write.
+pub(crate) type ResolutionCheck<'a> = dyn FnMut(&ExecutionGraph, EventId) -> bool + 'a;
+
+/// [`is_stagnant`] resolving each blocked read in place on `g` (restored
+/// before returning), with `consistent` deciding each resolution.
+pub(crate) fn is_stagnant_with(
+    g: &mut ExecutionGraph,
+    blocked: &[&BlockedAwait],
+    consistent: &mut ResolutionCheck<'_>,
+) -> bool {
+    !blocked.is_empty() && blocked.iter().all(|b| is_stuck_with(g, b, consistent))
+}
+
+fn is_stuck_with(
+    g: &mut ExecutionGraph,
+    b: &BlockedAwait,
+    consistent: &mut ResolutionCheck<'_>,
+) -> bool {
     let mut candidates: Vec<EventId> = vec![EventId::Init(b.loc)];
     candidates.extend(g.mo(b.loc).iter().copied());
     for w in candidates {
         let v = g.write_value(w);
-        if !resolution_consistent(g, b, w, model) {
+        if !resolution_consistent(g, b, w, consistent) {
             continue; // this write can never be observed here
         }
         if b.desc.exits(v) {
@@ -52,39 +76,45 @@ pub fn is_stuck(g: &ExecutionGraph, b: &BlockedAwait, model: &dyn MemoryModel) -
 }
 
 /// Would `rf(b.read) = w` (plus the RMW write part, if the await would exit
-/// and write) yield a model-consistent graph?
+/// and write) yield a model-consistent graph? Applies the resolution to
+/// `g`, asks `consistent`, and undoes it.
 fn resolution_consistent(
-    g: &ExecutionGraph,
+    g: &mut ExecutionGraph,
     b: &BlockedAwait,
     w: EventId,
-    model: &dyn MemoryModel,
+    consistent: &mut ResolutionCheck<'_>,
 ) -> bool {
-    let v = g.write_value(w);
-    let mut g2 = g.clone();
-    g2.set_rf(b.read, RfSource::Write(w));
-    let writes = b.desc.write_on(v);
-    g2.set_read_flags(b.read, writes.is_some(), true);
-    if let Some(new_val) = writes {
+    let EventKind::Read { rf, rmw, awaiting, .. } = g.event(b.read).kind else {
+        unreachable!("blocked await {} is a read", b.read)
+    };
+    let writes = b.desc.write_on(g.write_value(w));
+    g.set_rf(b.read, RfSource::Write(w));
+    g.set_read_flags(b.read, writes.is_some(), true);
+    let ok = match writes {
+        None => consistent(g, b.read),
         // Atomicity pre-check: at most one RMW may read from w.
-        let rmw_reader = g2.rmw_reader_of(w);
-        if rmw_reader != Some(b.read) {
-            return false;
+        Some(_) if g.rmw_reader_of(w) != Some(b.read) => false,
+        Some(new_val) => {
+            let thread = b.read.thread().expect("blocked read is a regular event");
+            let wid = g.push_event(
+                thread,
+                EventKind::Write { loc: b.loc, val: new_val, mode: b.mode, rmw: true },
+            );
+            // Place the write part immediately after w in mo (atomicity).
+            let ins = match w {
+                EventId::Init(_) => 0,
+                _ => g.mo(b.loc).iter().position(|x| *x == w).expect("w is in mo") + 1,
+            };
+            g.insert_mo(b.loc, wid, ins);
+            let ok = consistent(g, b.read);
+            g.remove_mo(b.loc, ins);
+            g.pop_event(thread);
+            ok
         }
-        let thread = b.read.thread().expect("blocked read is a regular event");
-        let wid = g2.push_event(
-            thread,
-            EventKind::Write { loc: b.loc, val: new_val, mode: b.mode, rmw: true },
-        );
-        // Place the write part immediately after w in mo (atomicity).
-        let ins = match w {
-            EventId::Init(_) => 0,
-            _ => {
-                g2.mo(b.loc).iter().position(|x| *x == w).expect("w is in mo") + 1
-            }
-        };
-        g2.insert_mo(b.loc, wid, ins);
-    }
-    model.is_consistent(&g2)
+    };
+    g.set_rf(b.read, rf);
+    g.set_read_flags(b.read, rmw, awaiting);
+    ok
 }
 
 #[cfg(test)]

@@ -41,64 +41,101 @@ pub struct AxiomContext<'g> {
     n: usize,
     words: usize,
     /// Location accessed by each dense index (`None` for fences/errors).
-    loc: Vec<Option<Loc>>,
+    pub(crate) loc: Vec<Option<Loc>>,
     /// Extended-mo position: a write's own position (init = 0), a read's
     /// source position. `None` for pending reads, fences, errors, and
     /// writes that are not (yet) in `mo`.
-    pos: Vec<Option<u32>>,
+    pub(crate) pos: Vec<Option<u32>>,
     /// Is the event a (possibly init) write?
     is_write: Vec<bool>,
     /// Is the event a read?
     is_read: Vec<bool>,
     /// Dense index of each read's rf source (`None` for `⊥`).
-    src: Vec<Option<u32>>,
+    pub(crate) src: Vec<Option<u32>>,
     /// Distinct locations (sorted) with flat per-location event masks:
     /// location `locs[k]`'s mask is `loc_masks[k*words .. (k+1)*words]`.
-    locs: Vec<Loc>,
+    pub(crate) locs: Vec<Loc>,
     loc_masks: Vec<u64>,
     /// RMW pairs (read part, write part) as dense indices.
     rmw_pairs: Vec<(usize, usize)>,
 }
 
-/// Graphs with at most this many non-init events are cheaper through the
-/// closure-based reference formulation: building the per-graph
-/// [`AxiomContext`] (dense index, mo positions, per-location masks) costs
-/// more than the tiny Floyd–Warshall closures it avoids. Measured on the
-/// lock catalog: the caslock 2-thread client (~6 events per graph) ran
-/// slower through the fast path than through the baseline checker until
-/// `is_consistent` learned to delegate below this threshold.
+/// SC and TSO graphs with at most this many non-init events are cheaper
+/// through the closure-based reference formulation: building the
+/// per-graph [`AxiomContext`] (dense index, mo positions, per-location
+/// masks) costs more than their tiny closures. VMM does not delegate:
+/// `check_perf` measures its fast path at or below the reference at every
+/// size, since the VMM reference closes several relations per check — and
+/// inside revisit chains every VMM check is an incremental push anyway.
 pub const SMALL_GRAPH_EVENTS: usize = 20;
 
-/// Should a model's `is_consistent` delegate to its reference
+/// Should an SC or TSO `is_consistent` delegate to its reference
 /// formulation for this graph? (See [`SMALL_GRAPH_EVENTS`].)
 #[inline]
 pub(crate) fn below_fast_path_threshold(g: &ExecutionGraph) -> bool {
     let below = g.num_events() <= SMALL_GRAPH_EVENTS;
-    if attribution::ENABLED.load(std::sync::atomic::Ordering::Relaxed) {
-        attribution::count(below);
-    }
+    attribution::count(below);
     below
 }
 
 /// Opt-in counters attributing consistency checks to the fast path vs the
-/// closure-based reference checker ([`SMALL_GRAPH_EVENTS`] delegation).
+/// closure-based reference checker ([`SMALL_GRAPH_EVENTS`] delegation),
+/// and rejected VMM checks to the axiom that failed.
 ///
 /// Process-global by necessity — `is_consistent` takes no context — so the
 /// counters are only meaningful when one session runs at a time (the CLI's
 /// `--metrics`, which snapshots a delta around its single session). Off by
-/// default: one relaxed load per check when disabled.
+/// default: a relaxed load or two per check when disabled. Checks answered by
+/// the incremental chain checker ([`crate::IncrementalVmm`]) count as
+/// fast-path checks.
 pub mod attribution {
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-    pub(super) static ENABLED: AtomicBool = AtomicBool::new(false);
+    static ENABLED: AtomicBool = AtomicBool::new(false);
     static REFERENCE: AtomicU64 = AtomicU64::new(0);
     static FAST: AtomicU64 = AtomicU64::new(0);
+    static REJECTED: [AtomicU64; 4] =
+        [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)];
 
-    pub(super) fn count(below_threshold: bool) {
-        if below_threshold {
-            REFERENCE.fetch_add(1, Ordering::Relaxed);
-        } else {
-            FAST.fetch_add(1, Ordering::Relaxed);
+    /// A VMM axiom, in the order the checkers test them; a rejected check
+    /// is attributed to the first one that fails.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(crate) enum Axiom {
+        /// RMW atomicity.
+        Atomicity,
+        /// Per-location coherence and `irreflexive(hb ; eco)`.
+        Coherence,
+        /// No-thin-air: `acyclic(po ∪ rf)` (which also bounds `hb`).
+        Porf,
+        /// The SC axiom `acyclic(psc)`.
+        Psc,
+    }
+
+    #[inline]
+    fn enabled() -> bool {
+        ENABLED.load(Ordering::Relaxed)
+    }
+
+    /// Count one check, answered by the reference checker or not.
+    #[inline]
+    pub(crate) fn count(reference: bool) {
+        if enabled() {
+            let counter = if reference { &REFERENCE } else { &FAST };
+            counter.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Count one check's verdict: a rejection is attributed to `axiom`.
+    #[inline]
+    pub(crate) fn verdict(result: Result<(), Axiom>) -> bool {
+        match result {
+            Ok(()) => true,
+            Err(axiom) => {
+                if enabled() {
+                    REJECTED[axiom as usize].fetch_add(1, Ordering::Relaxed);
+                }
+                false
+            }
         }
     }
 
@@ -112,6 +149,45 @@ pub mod attribution {
     #[must_use]
     pub fn checker_attribution() -> (u64, u64) {
         (FAST.load(Ordering::Relaxed), REFERENCE.load(Ordering::Relaxed))
+    }
+
+    /// Rejected VMM consistency checks, by the first axiom that failed.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct Rejections {
+        /// RMW atomicity violations.
+        pub atomicity: u64,
+        /// Coherence violations (per-location, or `hb ; eco` cycles).
+        pub coherence: u64,
+        /// `po ∪ rf` cycles.
+        pub porf: u64,
+        /// SC-axiom (`psc`) cycles.
+        pub psc: u64,
+    }
+
+    impl Rejections {
+        /// The counts accumulated since the `before` snapshot.
+        #[must_use]
+        pub fn since(&self, before: &Rejections) -> Rejections {
+            Rejections {
+                atomicity: self.atomicity - before.atomicity,
+                coherence: self.coherence - before.coherence,
+                porf: self.porf - before.porf,
+                psc: self.psc - before.psc,
+            }
+        }
+    }
+
+    /// Current rejection counts (snapshot-and-subtract, like
+    /// [`checker_attribution`]).
+    #[must_use]
+    pub fn rejections_by_axiom() -> Rejections {
+        let get = |a: Axiom| REJECTED[a as usize].load(Ordering::Relaxed);
+        Rejections {
+            atomicity: get(Axiom::Atomicity),
+            coherence: get(Axiom::Coherence),
+            porf: get(Axiom::Porf),
+            psc: get(Axiom::Psc),
+        }
     }
 }
 
@@ -200,7 +276,7 @@ impl<'g> AxiomContext<'g> {
         self.n == 0
     }
 
-    fn loc_slot(&self, l: Loc) -> Option<usize> {
+    pub(crate) fn loc_slot(&self, l: Loc) -> Option<usize> {
         self.locs.binary_search(&l).ok()
     }
 
@@ -574,11 +650,13 @@ impl<'g> AxiomContext<'g> {
         rows
     }
 
-    /// The RC11 SC axiom `acyclic(psc_base ∪ psc_F)`, computed over the SC
-    /// events only (the only possible carriers of a `psc` cycle). The
+    /// The `psc = psc_base ∪ psc_F` relation of the RC11 SC axiom over the
+    /// SC events only (the only possible carriers of a `psc` cycle): their
+    /// dense indices (ascending) and the `m × m` relation between them, or
+    /// `None` when the graph has no SC events. The
     /// `scb = (po \ po_loc) ∪ hb|loc ∪ mo ∪ fr` rows are synthesized on
     /// demand from suffix masks — the `n × n` relation is never built.
-    pub fn psc_acyclic(&self, hb: &Relation) -> bool {
+    pub(crate) fn psc_relation(&self, hb: &Relation) -> Option<(Vec<usize>, Relation)> {
         let g = self.g;
         // Classify SC events once.
         let mut sc_fence = vec![false; self.n];
@@ -598,7 +676,7 @@ impl<'g> AxiomContext<'g> {
             }
         }
         if sc_nodes.is_empty() {
-            return true; // no SC events, axiom trivially holds
+            return None; // no SC events, axiom trivially holds
         }
         sc_nodes.sort_unstable();
 
@@ -689,7 +767,7 @@ impl<'g> AxiomContext<'g> {
                 }
             }
         }
-        psc.is_acyclic()
+        Some((sc_nodes, psc))
     }
 
     /// The TSO global order: `ppo ∪ rfe ∪ mo ∪ fr`, where `ppo` drops

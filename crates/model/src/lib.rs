@@ -28,12 +28,16 @@
 
 pub mod axioms;
 pub mod fast;
+mod incremental;
 mod sc;
 mod tso;
 mod vmm;
 
-pub use fast::attribution::{checker_attribution, set_checker_attribution};
+pub use fast::attribution::{
+    checker_attribution, rejections_by_axiom, set_checker_attribution, Rejections,
+};
 pub use fast::AxiomContext;
+pub use incremental::IncrementalVmm;
 pub use sc::Sc;
 pub use tso::Tso;
 pub use vmm::{sw_relation, Vmm};

@@ -20,6 +20,7 @@ use crate::axioms::{
     acyclic_by_closure, atomicity_holds, eco_relation, fr_relation, mo_relation,
     per_loc_coherent, po_relation, rf_relation, rmw_pairs,
 };
+use crate::fast::attribution::{self, Axiom};
 use crate::fast::AxiomContext;
 use crate::MemoryModel;
 
@@ -33,29 +34,10 @@ impl MemoryModel for Vmm {
     }
 
     fn is_consistent(&self, g: &ExecutionGraph) -> bool {
-        if crate::fast::below_fast_path_threshold(g) {
-            return self.is_consistent_reference(g);
-        }
-        let cx = AxiomContext::new(g);
-        // Cheap structural axioms first.
-        if !cx.atomicity_holds() || !cx.per_loc_coherent() {
-            return false;
-        }
-        // No-thin-air: acyclic(po ∪ rf).
-        if !cx.porf_acyclic() {
-            return false;
-        }
-        // Happens-before: a cycle in po ∪ sw means hb is reflexive.
-        let sw = cx.sw_relation();
-        let Some(hb) = cx.hb_closure(&sw) else {
-            return false;
-        };
-        // Coherence: irreflexive(hb ; eco?), via mo positions.
-        if !cx.coherent(&hb) {
-            return false;
-        }
-        // SC axiom, over the SC events only.
-        cx.psc_acyclic(&hb)
+        // No small-graph delegation: the fast path is the faster one at
+        // every graph size (see `fast::SMALL_GRAPH_EVENTS`).
+        attribution::count(false);
+        attribution::verdict(fast_check(&AxiomContext::new(g)).map(drop))
     }
 
     fn is_consistent_reference(&self, g: &ExecutionGraph) -> bool {
@@ -90,6 +72,41 @@ impl MemoryModel for Vmm {
         // SC axiom.
         psc_acyclic_naive(g, &ix, &hb, &eco)
     }
+}
+
+/// What a successful fast check leaves behind: the closed `hb` and the
+/// `psc` relation over the SC events (see
+/// [`AxiomContext::psc_relation`]) — the incremental checker's starting
+/// state.
+pub(crate) type FastState = (Relation, Option<(Vec<usize>, Relation)>);
+
+/// The closure-free VMM check; on failure, the first axiom violated.
+pub(crate) fn fast_check(cx: &AxiomContext<'_>) -> Result<FastState, Axiom> {
+    // Cheap structural axioms first.
+    if !cx.atomicity_holds() {
+        return Err(Axiom::Atomicity);
+    }
+    if !cx.per_loc_coherent() {
+        return Err(Axiom::Coherence);
+    }
+    // No-thin-air: acyclic(po ∪ rf).
+    if !cx.porf_acyclic() {
+        return Err(Axiom::Porf);
+    }
+    // Happens-before: a cycle in po ∪ sw means hb is reflexive (and
+    // po ∪ rf cyclic, since sw ⊆ (po ∪ rf)⁺).
+    let sw = cx.sw_relation();
+    let hb = cx.hb_closure(&sw).ok_or(Axiom::Porf)?;
+    // Coherence: irreflexive(hb ; eco?), via mo positions.
+    if !cx.coherent(&hb) {
+        return Err(Axiom::Coherence);
+    }
+    // SC axiom, over the SC events only.
+    let psc = cx.psc_relation(&hb);
+    if psc.as_ref().is_some_and(|(_, psc)| !psc.is_acyclic()) {
+        return Err(Axiom::Psc);
+    }
+    Ok((hb, psc))
 }
 
 /// The synchronizes-with relation of RC11:

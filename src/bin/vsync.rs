@@ -16,7 +16,9 @@ use vsync::graph::{to_dot, Mode};
 use vsync::lang::{Program, ProgramBuilder, Reg};
 use vsync::locks::model::{dpdk_scenario, huawei_scenario};
 use vsync::locks::registry;
-use vsync::model::{checker_attribution, set_checker_attribution, ModelKind};
+use vsync::model::{
+    checker_attribution, rejections_by_axiom, set_checker_attribution, ModelKind, Rejections,
+};
 
 /// Command and option summary (also the `--help` text).
 const HELP: &str = "\
@@ -271,13 +273,14 @@ impl Options {
 }
 
 /// CLI-side telemetry wiring for `--trace` / `--metrics`: an optional
-/// Chrome-trace writer plus the checker-attribution snapshot taken
-/// before the run (the counters are process-global, so only the delta
-/// belongs to this run).
+/// Chrome-trace writer plus the checker-attribution and rejection
+/// snapshots taken before the run (the counters are process-global, so
+/// only the delta belongs to this run).
 struct Telemetry {
     writer: Option<Arc<TraceWriter>>,
     metrics: bool,
     attr_before: (u64, u64),
+    rejections_before: Rejections,
 }
 
 impl Telemetry {
@@ -292,7 +295,12 @@ impl Telemetry {
         if o.metrics {
             set_checker_attribution(true);
         }
-        Ok(Telemetry { writer, metrics: o.metrics, attr_before: checker_attribution() })
+        Ok(Telemetry {
+            writer,
+            metrics: o.metrics,
+            attr_before: checker_attribution(),
+            rejections_before: rejections_by_axiom(),
+        })
     }
 
     /// Apply to a session: enable profiling for `--metrics` and feed the
@@ -323,6 +331,11 @@ impl Telemetry {
                 "consistency checks: {} fast-path, {} reference",
                 fast - self.attr_before.0,
                 reference - self.attr_before.1
+            );
+            let r = rejections_by_axiom().since(&self.rejections_before);
+            eprintln!(
+                "rejected VMM checks by axiom: {} atomicity, {} coherence, {} porf, {} psc",
+                r.atomicity, r.coherence, r.porf, r.psc
             );
             set_checker_attribution(false);
         }
